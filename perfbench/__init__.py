@@ -1,0 +1,1 @@
+"""Mediator benchmark: three workloads, end-to-end and per-layer metrics."""
