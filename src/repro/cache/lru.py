@@ -81,10 +81,11 @@ class LRUCache:
     def get(self, key: Hashable, record_miss: bool = True) -> Optional[object]:
         """The cached value, or ``None`` (values themselves are never None)."""
         with self._lock:
-            if key in self._entries:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return self._entries[key]
+                return value
             if record_miss:
                 self.stats.misses += 1
             return None

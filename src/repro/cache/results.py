@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
@@ -519,11 +519,17 @@ class CachedSource(DataSource):
             for index, rows in zip(direct, fetched):
                 results[index] = rows
 
-    def peek(self, query: SourceQuery, bindings: Row) -> Optional[list[Row]]:
+    def peek(self, query: SourceQuery, bindings: Row,
+             translate: Optional[Callable[[list[Row], dict[str, str]], object]] = None):
         """Cache-only probe (no source call, no miss recorded).
 
         Hits are not counted into ``local_stats`` either — the caller
-        (the bind join's probe) keeps its own hit counter.
+        (the bind join's probe) keeps its own hit counter.  Without
+        ``translate`` a hit is returned as fresh dict rows in the
+        query's names.  With it, ``translate(stored_rows, names)``
+        receives the entry's rows in canonical names plus the canonical
+        → query renaming and builds the answer in one pass — the bind
+        join's probe re-keys straight into CMQ-named batches this way.
         """
         version = self.inner.version()
         if version is None:
@@ -531,16 +537,17 @@ class CachedSource(DataSource):
         keyed = self.cache.key_for(self.inner, version, query, bindings)
         if keyed is None:
             return None
-        rows = self.cache.fetch(keyed[0], keyed[1], record_miss=False)
-        if rows is not None:
-            return rows
-        # A peek is the bind join's pre-probe: repairing here means the
-        # dispatch that follows sees a plain hit.
-        repaired = self._try_repair(version, query, keyed[0], keyed[1],
-                                    bindings)
-        if repaired is None:
-            return None
-        return keyed[1].original_rows(repaired)
+        key, canon = keyed
+        rows = self.cache.entries.get(key, record_miss=False)
+        if rows is None:
+            # A peek is the bind join's pre-probe: repairing here means the
+            # dispatch that follows sees a plain hit.
+            rows = self._try_repair(version, query, key, canon, bindings)
+            if rows is None:
+                return None
+        if translate is None:
+            return canon.original_rows(rows)
+        return translate(rows, canon.inverse)
 
     def peek_stale(self, query: SourceQuery, bindings: Row) -> Optional[list[Row]]:
         """Version-independent cache probe for graceful degradation.

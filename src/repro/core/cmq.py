@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from repro.core.sources import (
@@ -34,10 +36,14 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
 )
+from repro.engine.batch import BindingBatch, batches_from_rows, tuple_getter
 from repro.errors import MixedQueryError, ParseError
 
 #: Sentinel source URI designating the mixed instance's custom RDF graph.
 GLUE_SOURCE = "#glue"
+
+#: Row schemas whose CMQ translation one atom memoises.
+_TRANSLATION_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,11 @@ class SourceAtom:
         return self.output_variables() | self.required_parameters()
 
     # -- execution helpers ---------------------------------------------------
+    @cached_property
+    def _translations(self) -> dict:
+        """Memo of :meth:`_translation` per row schema (see there)."""
+        return {}
+
     def formal_bindings(self, bindings: Row) -> Row:
         """Translate CMQ-level ``bindings`` into the sub-query's formal names."""
         formal: Row = dict(self.constants)
@@ -135,6 +146,63 @@ class SourceAtom:
         """Translate source rows to CMQ names, dropping constant violations."""
         return [self.translate_row(row) for row in rows
                 if _respects_constants(row, self.constants)]
+
+    def translate_batches(self, rows: Sequence[Row],
+                          names: dict[str, str] | None = None) -> list[BindingBatch]:
+        """Source rows as CMQ-named batches, dropping constant columns and violations.
+
+        The columnar twin of :meth:`translate_rows`: one renaming is
+        composed per run of rows sharing a key set, and each row becomes
+        a value tuple in one ``itemgetter`` call.  ``names`` first maps
+        the rows' keys to the sub-query's formal names — a result-cache
+        entry stores its rows under canonical names.  The constant check
+        runs only when a constant's column is present.
+        """
+        batches: list[BindingBatch] = []
+        for keys, group in groupby(rows, key=dict.keys):
+            columns, values_of, checks = self._translation(tuple(keys), names)
+            if values_of is None:
+                # Two formals share one CMQ name: which value wins
+                # depends on each row's own key order, as in translate_row.
+                if names:
+                    group = ({names.get(k, k): v for k, v in row.items()} for row in group)
+                batches.extend(batches_from_rows(self.translate_rows(group)))
+                continue
+            if checks:
+                group = [row for row in group
+                         if all(_matches_constant(row[key], expected)
+                                for key, expected in checks)]
+            values = list(map(values_of, group))
+            if values:
+                batches.append(BindingBatch(columns, values))
+        return batches
+
+    def _translation(self, keys: tuple[str, ...], names: dict[str, str] | None):
+        """``(CMQ columns, value getter, constant checks)`` for one row schema.
+
+        Memoised per schema while ``names`` is the same mapping object
+        (a cached query's canonical form keeps one for its lifetime).
+        """
+        memo = self._translations
+        entry = memo.get(keys)
+        if entry is not None and entry[0] is names:
+            return entry[1]
+        picks: dict[str, str] = {}  # CMQ name -> row key
+        checks: list[tuple[str, object]] = []
+        for key in keys:
+            formal = names.get(key, key) if names else key
+            if formal in self.constants:
+                checks.append((key, self.constants[formal]))
+            else:
+                picks[self.renames.get(formal, formal)] = key
+        # A CMQ name reached from two formals leaves no columnar plan.
+        values_of = (tuple_getter(tuple(picks.values()))
+                     if len(picks) + len(checks) == len(keys) else None)
+        plan = tuple(picks), values_of, checks
+        if len(memo) >= _TRANSLATION_MEMO:
+            memo.clear()
+        memo[keys] = (names, plan)
+        return plan
 
     def execute_on(self, source: DataSource, bindings: Row | None = None) -> list[Row]:
         """Run the atom's sub-query on ``source`` under ``bindings``."""
@@ -514,12 +582,13 @@ def rename_atom(atom: SourceAtom, renames: dict[str, str]) -> SourceAtom:
 
 
 def _respects_constants(row: Row, constants: dict[str, object]) -> bool:
-    for formal, expected in constants.items():
-        if formal in row:
-            value = row[formal]
-            if value != expected and not (
-                isinstance(value, str) and isinstance(expected, str)
-                and value.lower() == expected.lower()
-            ):
-                return False
-    return True
+    return all(_matches_constant(row[formal], expected)
+               for formal, expected in constants.items() if formal in row)
+
+
+def _matches_constant(value: object, expected: object) -> bool:
+    """Equal, or (for two strings) equal ignoring case."""
+    return value == expected or (
+        isinstance(value, str) and isinstance(expected, str)
+        and value.lower() == expected.lower()
+    )

@@ -40,7 +40,7 @@ from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.planner import PlannerOptions, PlanStep, QueryPlan, QueryPlanner
 from repro.core.results import ExecutionTrace, MixedResult, StepObservation, SubQueryCall
 from repro.core.sources import DataSource, Row
-from repro.engine.batch import DEFAULT_BATCH_SIZE
+from repro.engine.batch import DEFAULT_BATCH_SIZE, BindingBatch
 from repro.engine.iterators import (
     BatchBindJoin,
     BindJoin,
@@ -222,9 +222,9 @@ class MixedQueryExecutor:
                 continue
             # Materialise the intermediate result so the stage's source
             # calls have happened and actual cardinalities are known.
-            intermediate = current.rows()
-            current = MaterializedScan(intermediate, name="intermediate")
-            trace.intermediate_sizes.append(len(intermediate))
+            current = MaterializedScan.of_batches(current.batches(), name="intermediate")
+            intermediate = current.estimated_size()
+            trace.intermediate_sizes.append(intermediate)
             worst: tuple[float, PlanStep, StepObservation] | None = None
             for step in steps:
                 observation = self._observe(step, trace)
@@ -255,7 +255,7 @@ class MixedQueryExecutor:
                 if step.atom.source_variable is not None:
                     bound.add(step.atom.source_variable)
             tail = self.planner.plan_tail(query, [s.atom for s in executed], bound,
-                                          float(len(intermediate)), options)
+                                          float(intermediate), options)
             pending = [[tail.steps[i] for i in stage] for stage in tail.stages]
             trace.replanned = True
             trace.replans += 1
@@ -273,7 +273,8 @@ class MixedQueryExecutor:
         operator: Operator = Project(current, output)
         if distinct:
             operator = Distinct(operator)
-        rows = operator.rows()
+        # The one place answer rows become dicts.
+        rows = [row for batch in operator.batches() for row in batch.dicts()]
         if limit is not None:
             rows = rows[:limit]
         trace.total_seconds = time.perf_counter() - start
@@ -408,18 +409,15 @@ class MixedQueryExecutor:
         relevant = sorted(atom.variables()
                           | ({atom.source_variable} if atom.source_variable else set()))
 
-        def call_key(row: Row) -> tuple:
-            return tuple((v, _hashable(row.get(v))) for v in relevant if v in row)
-
         if not self.options.batch_bind_joins:
+            def call_key(row: Row) -> tuple:
+                return tuple((v, _hashable(row.get(v))) for v in relevant if v in row)
+
             def fetch(row: Row):
                 with _span(f"bind:{atom.name}", bindings=1):
                     return self._execute_atom(step, atom, row, trace)
 
             return BindJoin(current, fetch, name=f"bind:{atom.name}", call_key=call_key)
-
-        def binding_of(row: Row) -> Row:
-            return {v: row[v] for v in relevant if v in row}
 
         join_cell: list[BatchBindJoin] = []
 
@@ -443,8 +441,7 @@ class MixedQueryExecutor:
         sieve = None
         if self._sieve is not None and self.options.digest_sieve and step.use_sieve:
             sieve = self._sieve.sieve_for(atom, step.sources)
-        join = BatchBindJoin(current, fetch_batch, call_key=call_key,
-                             binding_of=binding_of,
+        join = BatchBindJoin(current, fetch_batch, variables=relevant,
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
                              sieve=sieve, probe=self._cache_probe(step, atom),
                              name=f"bind:{atom.name}")
@@ -471,11 +468,9 @@ class MixedQueryExecutor:
         if not isinstance(target, CachedSource):
             return None
 
-        def probe(binding: Row) -> list[Row] | None:
-            rows = target.peek(atom.query, atom.formal_bindings(binding))
-            if rows is None:
-                return None
-            return atom.translate_rows(rows)
+        def probe(binding: Row) -> list[BindingBatch] | None:
+            return target.peek(atom.query, atom.formal_bindings(binding),
+                               translate=atom.translate_batches)
 
         return probe
 

@@ -219,10 +219,15 @@ class QueryPlanner:
             plan = self._build_plan(query, options)
             if cache_key is not None:
                 # Remember which body atom each step executes so a hit can be
-                # rebound to a renaming-equivalent query's own atoms.
+                # rebound to a renaming-equivalent query's own atoms.  Steps
+                # keep their sources by URI only: the wrappers may be pinned
+                # snapshots, which a cached plan must not keep alive.
                 indices = [next(i for i, atom in enumerate(query.atoms)
                                 if atom is step.atom) for step in plan.steps]
-                self._plan_cache.put(cache_key, (plan, indices))
+                uris = [[source.uri for source in step.sources] for step in plan.steps]
+                skeleton = replace(plan, steps=[replace(step, sources=[])
+                                                for step in plan.steps])
+                self._plan_cache.put(cache_key, (skeleton, indices, uris))
             if sp is not None:
                 sp.set(cached=False, steps=len(plan.steps),
                        cost=round(plan.total_cost, 2))
@@ -264,25 +269,28 @@ class QueryPlanner:
         return plan_cache_key(query, self._sources, self._glue, options,
                               stats_revision=revision)
 
-    @staticmethod
-    def _rebind(hit: tuple, query: ConjunctiveMixedQuery,
+    def _rebind(self, hit: tuple, query: ConjunctiveMixedQuery,
                 options: PlannerOptions) -> QueryPlan:
         """Re-anchor a cached plan on the requesting query's atoms.
 
         The cache key guarantees the queries are equal up to variable
-        renaming, so step order, modes, sources and estimates carry over
-        verbatim — only the atom objects (which hold the renaming) are
-        substituted.
+        renaming, and that this planner's catalog holds the same source
+        states, so step order, modes and estimates carry over verbatim.
+        The atom objects (which hold the renaming) are substituted and
+        each step's source URIs resolve against this planner's catalog.
         """
-        plan, indices = hit
+        plan, indices, uris = hit
         steps = []
         bound: set[str] = set()
-        for step, index in zip(plan.steps, indices):
+        for step, index, step_uris in zip(plan.steps, indices, uris):
             atom = query.atoms[index]
+            sources = [self._glue if uri == self._glue.uri else self._sources[uri]
+                       for uri in step_uris]
             # bound_variables must carry the *requesting* query's names
             # (the renaming differs), or feedback recorded from this plan
             # would key on the cached query's variables.
-            steps.append(replace(step, atom=atom, bound_variables=frozenset(bound)))
+            steps.append(replace(step, atom=atom, sources=sources,
+                                 bound_variables=frozenset(bound)))
             bound.update(atom.output_variables())
             if atom.source_variable is not None:
                 bound.add(atom.source_variable)

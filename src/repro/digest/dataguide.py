@@ -9,7 +9,7 @@ the value types and occurrence counts at that path.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro.fulltext.document import Document
@@ -55,19 +55,54 @@ class JSONDataguide:
             guide.observe(doc)
         return guide
 
+    @classmethod
+    def from_leaves(cls, documents: Iterable[Iterable[tuple[str, object]]],
+                    name: str = "dataguide") -> "JSONDataguide":
+        """Build a dataguide from already flattened documents.
+
+        Each item is one document's ``(dotted_path, value)`` leaves, as
+        :meth:`Document.flat_fields` yields them — a store that indexes
+        its documents keeps them, so no document is flattened twice.
+        """
+        guide = cls(name=name)
+        for leaves in documents:
+            guide.observe_leaves(leaves)
+        return guide
+
     def observe(self, document: Document | dict[str, Any]) -> None:
         """Add one document's paths to the dataguide."""
-        self.document_count += 1
         if isinstance(document, Document):
             leaves = document.flat_fields()
         else:
             leaves = Document(doc_id="_", fields=dict(document)).flat_fields()
+        self.observe_leaves(leaves)
+
+    def observe_leaves(self, leaves: Iterable[tuple[str, object]]) -> None:
+        """Add one flattened document's paths to the dataguide."""
+        self.document_count += 1
         for path, value in leaves:
             info = self.paths.get(path)
             if info is None:
                 info = PathInfo(path=path)
                 self.paths[path] = info
             info.observe(value)
+
+    def extended(self, documents: Iterable[Iterable[tuple[str, object]]]) -> "JSONDataguide":
+        """A copy of this dataguide that also observed ``documents``.
+
+        ``documents`` are flattened leaves, as for :meth:`from_leaves`.
+        This guide is left unchanged (store snapshots share it), and the
+        copy equals a fresh build over the old documents followed by the
+        new ones.
+        """
+        guide = type(self)(name=self.name)
+        guide.document_count = self.document_count
+        guide.paths = {path: replace(info, types=set(info.types),
+                                     sample_values=list(info.sample_values))
+                       for path, info in self.paths.items()}
+        for leaves in documents:
+            guide.observe_leaves(leaves)
+        return guide
 
     # ------------------------------------------------------------------
     def path_names(self) -> list[str]:

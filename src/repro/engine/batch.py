@@ -16,6 +16,8 @@ is preserved exactly (an absent variable is never padded with ``None``).
 
 from __future__ import annotations
 
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 #: A binding tuple at the mediator level: variable name -> value.
@@ -23,6 +25,21 @@ Row = dict[str, object]
 
 #: Default number of rows per batch on the engine hot path.
 DEFAULT_BATCH_SIZE = 256
+
+
+def tuple_getter(keys: Sequence) -> Callable[[object], tuple]:
+    """``operator.itemgetter`` over ``keys`` that always returns a tuple.
+
+    ``itemgetter`` returns a bare value for a single key (and rejects
+    none); row tuples need a tuple for every width.  Works on row
+    tuples (integer positions) and on dict rows (column names) alike.
+    """
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda row: (row[key],)
+    if not keys:
+        return lambda row: ()
+    return itemgetter(*keys)
 
 
 class BindingBatch:
@@ -72,14 +89,15 @@ class BindingBatch:
     def projector(self, columns: Sequence[str]) -> Callable[[tuple], tuple]:
         """A function extracting ``columns`` from a row tuple (``None`` if absent)."""
         positions = self.positions()
+        if all(c in positions for c in columns):
+            return tuple_getter([positions[c] for c in columns])
         indices = [positions.get(c) for c in columns]
         return lambda row: tuple(None if i is None else row[i] for i in indices)
 
-    def dicts(self) -> Iterator[Row]:
-        """Yield one fresh dict per row (the per-row interface boundary)."""
+    def dicts(self) -> list[Row]:
+        """One fresh dict per row (the per-row interface boundary)."""
         columns = self.columns
-        for row in self.rows:
-            yield dict(zip(columns, row))
+        return [dict(zip(columns, row)) for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -94,54 +112,45 @@ def batches_from_rows(rows: Iterable[Row],
 
     Consecutive rows with the same key set land in the same batch (up to
     ``size`` rows); a schema change or a full batch starts a new one, so
-    row order is preserved exactly.
+    row order is preserved exactly.  Rows are consumed lazily.
     """
     size = max(1, size)
-    columns: tuple[str, ...] = ()
-    key_set: frozenset | None = None
-    buffer: list[tuple] = []
-    for row in rows:
-        keys = row.keys()
-        if key_set is None or keys != key_set or len(buffer) >= size:
-            if key_set is not None and buffer:
-                yield BindingBatch(columns, buffer)
-                buffer = []
-            if key_set is None or keys != key_set:
-                columns = tuple(row)
-                key_set = frozenset(columns)
-        buffer.append(tuple(row[c] for c in columns))
-    if key_set is not None and buffer:
-        yield BindingBatch(columns, buffer)
+    for keys, group in groupby(rows, key=dict.keys):
+        columns = tuple(keys)
+        get = tuple_getter(columns)
+        while True:
+            chunk = list(map(get, islice(group, size)))
+            if not chunk:
+                break
+            yield BindingBatch(columns, chunk)
 
 
 def merge_spec(left_columns: Sequence[str],
-               right_columns: Sequence[str]) -> tuple[tuple[str, ...], list[tuple[bool, int]]]:
+               right_columns: Sequence[str]) -> tuple[tuple[str, ...], Callable[[tuple], tuple]]:
     """How to merge a left and a right row tuple into one output tuple.
 
     Mirrors ``{**left, **right}``: the output header is the left columns
     followed by the right-only columns, and a column present on both
-    sides takes the *right* value.  Returns ``(out_columns, picks)`` with
-    one ``(take_right, index)`` pick per output column.
+    sides takes the *right* value.  Returns ``(out_columns, merge)``;
+    ``merge(left_row + right_row)`` builds the output tuple.
     """
     left_columns = tuple(left_columns)
-    right_positions = {c: i for i, c in enumerate(right_columns)}
-    out_columns = left_columns + tuple(c for c in right_columns if c not in set(left_columns))
-    picks: list[tuple[bool, int]] = []
-    left_positions = {c: i for i, c in enumerate(left_columns)}
-    for column in out_columns:
-        if column in right_positions:
-            picks.append((True, right_positions[column]))
-        else:
-            picks.append((False, left_positions[column]))
-    return out_columns, picks
+    width = len(left_columns)
+    right_positions = {c: width + i for i, c in enumerate(right_columns)}
+    left_set = set(left_columns)
+    out_columns = left_columns + tuple(c for c in right_columns if c not in left_set)
+    picks = [right_positions.get(c, i) for i, c in enumerate(left_columns)]
+    picks += [right_positions[c] for c in out_columns[width:]]
+    return out_columns, tuple_getter(picks)
 
 
 class BatchAccumulator:
-    """Accumulates output rows grouped by header and emits full batches.
+    """Accumulates output rows grouped by header into batches.
 
     Join operators produce merged rows whose header depends on the pair
-    of input batches; this helper buffers rows per header and yields
-    :class:`BindingBatch` objects of at most ``size`` rows.
+    of input batches; this helper buffers consecutive rows sharing a
+    header and hands back a :class:`BindingBatch` once the header
+    changes or ``size`` rows are buffered, so row order is preserved.
     """
 
     def __init__(self, size: int = DEFAULT_BATCH_SIZE):
@@ -149,15 +158,21 @@ class BatchAccumulator:
         self._current: tuple[str, ...] | None = None
         self._rows: list[tuple] = []
 
-    def add(self, columns: tuple[str, ...], row: tuple) -> Iterator[BindingBatch]:
-        """Add one row; yields a batch when the header changes or fills up."""
-        if columns != self._current or len(self._rows) >= self.size:
-            yield from self.flush()
+    def extend(self, columns: tuple[str, ...], rows: list[tuple]) -> BindingBatch | None:
+        """Buffer ``rows``; returns the batch this completed, if any."""
+        done = None
+        if columns != self._current:
+            done = self.flush()
             self._current = columns
-        self._rows.append(row)
+        self._rows.extend(rows)
+        if done is None and len(self._rows) >= self.size:
+            done = self.flush()
+        return done
 
-    def flush(self) -> Iterator[BindingBatch]:
-        """Emit whatever is buffered."""
-        if self._current is not None and self._rows:
-            yield BindingBatch(self._current, self._rows)
+    def flush(self) -> BindingBatch | None:
+        """The buffered rows as one batch (``None`` when empty)."""
+        if not self._rows:
+            return None
+        batch = BindingBatch(self._current, self._rows)
         self._rows = []
+        return batch

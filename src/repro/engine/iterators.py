@@ -27,6 +27,7 @@ from repro.engine.batch import (
     BindingBatch,
     batches_from_rows,
     merge_spec,
+    tuple_getter,
 )
 from repro.errors import MixedQueryError
 
@@ -110,6 +111,14 @@ class MaterializedScan(Operator):
         self._batches = list(batches_from_rows(iter(rows), DEFAULT_BATCH_SIZE))
         self._count = sum(len(b) for b in self._batches)
 
+    @classmethod
+    def of_batches(cls, batches: Iterable[BindingBatch], name: str = "scan") -> "MaterializedScan":
+        """A scan over already columnar batches (kept as they are)."""
+        scan = cls((), name)
+        scan._batches = [batch for batch in batches if batch.rows]
+        scan._count = sum(len(b) for b in scan._batches)
+        return scan
+
     def _produce_batches(self) -> Iterator[BindingBatch]:
         yield from self._batches
 
@@ -165,11 +174,15 @@ class Project(Operator):
         self.renames = renames or {}
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
-        out_columns = tuple(self.renames.get(c, c) for c in self.columns)
+        columns = tuple(self.columns)
+        out_columns = tuple(self.renames.get(c, c) for c in columns)
         for batch in self.child.batches():
             self.stats.consumed += len(batch)
-            project = batch.projector(self.columns)
-            yield BindingBatch(out_columns, [project(row) for row in batch.rows])
+            if batch.columns == columns:
+                # Already in output order: the row tuples are reused as-is.
+                yield BindingBatch(out_columns, batch.rows)
+                continue
+            yield BindingBatch(out_columns, list(map(batch.projector(columns), batch.rows)))
 
     def estimated_size(self) -> int | None:
         return self.child.estimated_size()
@@ -276,45 +289,67 @@ class HashJoin(Operator):
                 yield from probe_batches
 
         out = BatchAccumulator(DEFAULT_BATCH_SIZE)
+        merges: dict[tuple, tuple] = {}
+
+        def emit(probe_columns: tuple[str, ...], probe_row: tuple,
+                 build_columns: tuple[str, ...], build_rows: list[tuple]):
+            spec = merges.get((probe_columns, build_columns))
+            if spec is None:
+                spec = self._spec(probe_columns, build_columns, build_is_left)
+                merges[(probe_columns, build_columns)] = spec
+            out_columns, merge = spec
+            if build_is_left:
+                merged = [merge(build_row + probe_row) for build_row in build_rows]
+            else:
+                merged = [merge(probe_row + build_row) for build_row in build_rows]
+            return out.extend(out_columns, merged)
+
         if not keys:
             # Degenerate to a cross product.
             for probe_batch in probe_stream():
                 self.stats.consumed += len(probe_batch)
                 for build_batch in build_batches:
-                    yield from self._cross(probe_batch, build_batch, build_is_left, out)
-            yield from out.flush()
+                    for probe_row in probe_batch.rows:
+                        done = emit(probe_batch.columns, probe_row,
+                                    build_batch.columns, build_batch.rows)
+                        if done is not None:
+                            yield done
+            done = out.flush()
+            if done is not None:
+                yield done
             return
 
-        # Build phase: bucket the build side by its key tuple.
-        buckets: dict[tuple, list[tuple[tuple[str, ...], tuple]]] = defaultdict(list)
+        # Build phase: bucket the build side by its key tuple.  A bucket
+        # holds runs of consecutive rows sharing one header, in order.
+        buckets: dict[tuple, list[tuple[tuple[str, ...], list[tuple]]]] = {}
         for batch in build_batches:
             key_of = batch.projector(keys)
+            columns = batch.columns
             for row in batch.rows:
-                buckets[key_of(row)].append((batch.columns, row))
+                key = key_of(row)
+                runs = buckets.get(key)
+                if runs is None:
+                    buckets[key] = [(columns, [row])]
+                elif runs[-1][0] == columns:
+                    runs[-1][1].append(row)
+                else:
+                    runs.append((columns, [row]))
 
         # Probe phase: stream the other side against the table.
-        merged: dict[tuple, tuple] = {}
         for probe_batch in probe_stream():
             self.stats.consumed += len(probe_batch)
             key_of = probe_batch.projector(keys)
             for probe_row in probe_batch.rows:
-                matches = buckets.get(key_of(probe_row))
-                if not matches:
+                runs = buckets.get(key_of(probe_row))
+                if not runs:
                     continue
-                for build_columns, build_row in matches:
-                    spec = merged.get((probe_batch.columns, build_columns))
-                    if spec is None:
-                        spec = self._spec(probe_batch.columns, build_columns, build_is_left)
-                        merged[(probe_batch.columns, build_columns)] = spec
-                    out_columns, picks = spec
-                    if build_is_left:
-                        pair = (build_row, probe_row)
-                    else:
-                        pair = (probe_row, build_row)
-                    row = tuple(pair[1][i] if take_right else pair[0][i]
-                                for take_right, i in picks)
-                    yield from out.add(out_columns, row)
-        yield from out.flush()
+                for build_columns, build_rows in runs:
+                    done = emit(probe_batch.columns, probe_row, build_columns, build_rows)
+                    if done is not None:
+                        yield done
+        done = out.flush()
+        if done is not None:
+            yield done
 
     def _spec(self, probe_columns: tuple[str, ...], build_columns: tuple[str, ...],
               build_is_left: bool):
@@ -323,17 +358,6 @@ class HashJoin(Operator):
         if build_is_left:
             return merge_spec(build_columns, probe_columns)
         return merge_spec(probe_columns, build_columns)
-
-    def _cross(self, probe_batch: BindingBatch, build_batch: BindingBatch,
-               build_is_left: bool, out: BatchAccumulator) -> Iterator[BindingBatch]:
-        out_columns, picks = self._spec(probe_batch.columns, build_batch.columns,
-                                        build_is_left)
-        for probe_row in probe_batch.rows:
-            for build_row in build_batch.rows:
-                pair = (build_row, probe_row) if build_is_left else (probe_row, build_row)
-                row = tuple(pair[1][i] if take_right else pair[0][i]
-                            for take_right, i in picks)
-                yield from out.add(out_columns, row)
 
     def describe(self) -> str:
         keys = self.keys if self.keys is not None else "natural"
@@ -397,28 +421,35 @@ class BatchBindJoin(Operator):
     ``fetch_batch`` call answers the whole group — the source wrapper
     turns it into a native IN-list / disjunctive pushdown when it can.
 
-    ``sieve`` is an optional semi-join filter (typically backed by the
-    source's digest value sets): bindings it rejects are proven to have
-    no match at the source and are never shipped.  ``probe`` is an
-    optional per-binding result-cache lookup consulted after the sieve:
-    a non-``None`` answer serves the binding without shipping it, so a
-    batch reaching the source consists of cache misses only.
-    ``fetch_batch`` receives a list of binding dicts and must return one
-    row list per binding, in order.
+    ``variables`` names the left variables a call depends on (default:
+    every left column); a left row's call key and shipped binding are
+    the values of those of them present in its header, read by column
+    position.  ``sieve`` is an optional semi-join filter (typically
+    backed by the source's digest value sets): bindings it rejects are
+    proven to have no match at the source and are never shipped.
+    ``probe`` is an optional per-binding result-cache lookup consulted
+    after the sieve: a non-``None`` list of :class:`BindingBatch` answers
+    the binding without shipping it, so a batch reaching the source
+    consists of cache misses only.  ``fetch_batch`` receives a list of
+    binding dicts and must return one dict-row list per binding, in
+    order.
+
+    The join is columnar: each call key's answer is held as batches and
+    merged rows are built by one ``itemgetter`` per pair of headers,
+    mirroring ``{**left, **right}`` for rows that agree on every shared
+    variable.  Output order is left-row order, then answer order.
     """
 
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
-                 call_key: Callable[[Row], tuple] | None = None,
-                 binding_of: Callable[[Row], Row] | None = None,
+                 variables: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  sieve: Callable[[Row], bool] | None = None,
-                 probe: Callable[[Row], list[Row] | None] | None = None,
+                 probe: Callable[[Row], list[BindingBatch] | None] | None = None,
                  name: str = "batchbind"):
         super().__init__(name)
         self.left = left
         self.fetch_batch = fetch_batch
-        self.call_key = call_key
-        self.binding_of = binding_of
+        self.variables = sorted(variables) if variables is not None else None
         self.batch_size = max(1, batch_size)
         self.sieve = sieve
         self.probe = probe
@@ -431,52 +462,67 @@ class BatchBindJoin(Operator):
         #: fused source call / were answered by its single-flight slot.
         self.fused_probes = 0
         self.shared_results = 0
-        self._key_orders: dict[frozenset, tuple[str, ...]] = {}
 
-    def _default_key(self, row: Row) -> tuple:
-        return _schema_call_key(row, self._key_orders)
+    def _keying(self, columns: tuple[str, ...]) -> tuple[tuple[str, ...], Callable]:
+        """The bound variable names of a left header and their value getter."""
+        positions = {c: i for i, c in enumerate(columns)}
+        wanted = self.variables if self.variables is not None else sorted(columns)
+        names = tuple(v for v in wanted if v in positions)
+        return names, tuple_getter([positions[v] for v in names])
 
-    def _produce(self) -> Iterator[Row]:
-        cache: dict[tuple, list[Row]] = {}
-        pending: list[tuple[Row, tuple]] = []
+    def _produce_batches(self) -> Iterator[BindingBatch]:
+        answers: dict[tuple, list[BindingBatch]] = {}
+        pending: list[tuple[tuple[str, ...], tuple, tuple]] = []
         queued: dict[tuple, Row] = {}
-        key_of = self.call_key or self._default_key
-        binding_of = self.binding_of or (lambda row: dict(row))
+        merges: dict[tuple, tuple] = {}
+        out = BatchAccumulator(DEFAULT_BATCH_SIZE)
         for batch in self.left.batches():
             self.stats.consumed += len(batch)
-            for left_row in batch.dicts():
-                key = key_of(left_row)
-                if key in cache and not pending:
+            columns = batch.columns
+            names, values_of = self._keying(columns)
+            for row in batch.rows:
+                values = values_of(row)
+                key = (names, values)
+                try:
+                    answer = answers.get(key)
+                except TypeError:
+                    key = (names, tuple(map(_hashable, values)))
+                    answer = answers.get(key)
+                if answer is not None and not pending:
                     # Answer already known and nothing queued ahead of this
                     # row: stream it out immediately, preserving order.
-                    yield from self._join(left_row, cache[key])
+                    for done in self._join(columns, row, answer, merges, out):
+                        yield done
                     continue
-                pending.append((left_row, key))
-                if key not in cache and key not in queued:
-                    queued[key] = binding_of(left_row)
+                pending.append((columns, row, key))
+                if answer is None and key not in queued:
+                    queued[key] = dict(zip(names, values))
                 if len(queued) >= self.batch_size:
-                    self._flush(queued, cache)
+                    self._flush(queued, answers)
                     queued = {}
-                    yield from self._drain(pending, cache)
+                    yield from self._drain(pending, answers, merges, out)
                     pending = []
         if queued:
-            self._flush(queued, cache)
-        yield from self._drain(pending, cache)
+            self._flush(queued, answers)
+        yield from self._drain(pending, answers, merges, out)
+        done = out.flush()
+        if done is not None:
+            yield done
 
     # ------------------------------------------------------------------
-    def _flush(self, queued: dict[tuple, Row], cache: dict[tuple, list[Row]]) -> None:
+    def _flush(self, queued: dict[tuple, Row], answers: dict[tuple, list[BindingBatch]]) -> None:
         to_ship: list[tuple[tuple, Row]] = []
         for key, binding in queued.items():
             if self.sieve is not None and not self.sieve(binding):
                 # The digest proves no source row can match this binding.
-                cache[key] = []
+                answers[key] = []
                 self.sieved_out += 1
                 continue
             if self.probe is not None:
                 hit = self.probe(binding)
                 if hit is not None:
                     # The cross-query result cache already knows the answer.
-                    cache[key] = hit
+                    answers[key] = hit
                     self.cache_hits += 1
                     continue
             to_ship.append((key, binding))
@@ -491,17 +537,39 @@ class BatchBindJoin(Operator):
                 f"for {len(to_ship)} bindings"
             )
         for (key, _), rows in zip(to_ship, fetched):
-            cache[key] = [dict(r) for r in rows]
+            answers[key] = list(batches_from_rows(rows, DEFAULT_BATCH_SIZE))
 
-    def _drain(self, pending: list[tuple[Row, tuple]],
-               cache: dict[tuple, list[Row]]) -> Iterator[Row]:
-        for left_row, key in pending:
-            yield from self._join(left_row, cache[key])
+    def _drain(self, pending: list[tuple[tuple[str, ...], tuple, tuple]],
+               answers: dict[tuple, list[BindingBatch]], merges: dict[tuple, tuple],
+               out: BatchAccumulator) -> Iterator[BindingBatch]:
+        for columns, row, key in pending:
+            yield from self._join(columns, row, answers[key], merges, out)
 
-    def _join(self, left_row: Row, fetched: list[Row]) -> Iterator[Row]:
-        for right_row in fetched:
-            if _compatible(left_row, right_row):
-                yield {**left_row, **right_row}
+    @staticmethod
+    def _join(columns: tuple[str, ...], row: tuple, answer: list[BindingBatch],
+              merges: dict[tuple, tuple], out: BatchAccumulator) -> Iterator[BindingBatch]:
+        for right in answer:
+            spec = merges.get((columns, right.columns))
+            if spec is None:
+                out_columns, merge = merge_spec(columns, right.columns)
+                right_positions = right.positions()
+                shared = tuple((i, right_positions[c]) for i, c in enumerate(columns)
+                               if c in right_positions)
+                spec = merges[(columns, right.columns)] = (out_columns, merge, shared)
+            out_columns, merge, shared = spec
+            if not shared:
+                merged = [merge(row + other) for other in right.rows]
+            elif len(shared) == 1:
+                (li, ri), = shared
+                value = row[li]
+                merged = [merge(row + other) for other in right.rows if value == other[ri]]
+            else:
+                merged = [merge(row + other) for other in right.rows
+                          if all(row[li] == other[ri] for li, ri in shared)]
+            if merged:
+                done = out.extend(out_columns, merged)
+                if done is not None:
+                    yield done
 
     def children(self) -> Sequence[Operator]:
         return (self.left,)
@@ -510,9 +578,10 @@ class BatchBindJoin(Operator):
 class Distinct(Operator):
     """Remove duplicate rows (order-preserving).
 
-    The canonical sorted column order is computed once per batch schema
-    (via :meth:`BindingBatch.sorted_pairs`) instead of sorting every
-    row's items.
+    A row's key is its sorted header plus its values in that order; the
+    sorted column order is computed once per batch schema (via
+    :meth:`BindingBatch.sorted_pairs`), so a row costs one ``itemgetter``
+    call and one set probe.
     """
 
     def __init__(self, child: Operator, name: str = "distinct"):
@@ -524,10 +593,20 @@ class Distinct(Operator):
         for batch in self.child.batches():
             self.stats.consumed += len(batch)
             pairs = batch.sorted_pairs()
+            names = tuple(c for c, _ in pairs)
+            values_of = tuple_getter([i for _, i in pairs])
             keep: list[tuple] = []
             for row in batch.rows:
-                key = tuple((c, _hashable(row[i])) for c, i in pairs)
-                if key not in seen:
+                key = (names, values_of(row))
+                try:
+                    fresh = key not in seen
+                except TypeError:
+                    # Unhashable values (lists, sets, dicts) key by their
+                    # hashable form, which equals the hashable value they
+                    # mirror: [1, 2] and (1, 2) are duplicates.
+                    key = (names, tuple(map(_hashable, key[1])))
+                    fresh = key not in seen
+                if fresh:
                     seen.add(key)
                     keep.append(row)
             if keep:

@@ -84,7 +84,7 @@ class JSONDocumentStore:
         with self._rwlock.write_locked():
             replaced = self._deindex_unlocked(doc_id)
             self._index_unlocked(doc_id, stored)
-            self._dataguide = None
+            self._refresh_dataguide([doc_id], replaced)
             pre = self._version
             self._version += 1
             entry = self._journal.record(pre, pre + 1,
@@ -104,6 +104,7 @@ class JSONDocumentStore:
         entry = None
         with self._rwlock.write_locked():
             added: list[dict[str, Any]] = []
+            added_ids: list[str] = []
             replaced = False
             pre = self._version
             try:
@@ -112,13 +113,14 @@ class JSONDocumentStore:
                     replaced = self._deindex_unlocked(doc_id) or replaced
                     self._index_unlocked(doc_id, stored)
                     added.append(stored)
+                    added_ids.append(doc_id)
             finally:
                 # Even a partially applied batch (a malformed document
                 # mid-way) must advance the version exactly once: some
                 # documents landed, so version equality has to keep
                 # meaning "unchanged".
                 if added:
-                    self._dataguide = None
+                    self._refresh_dataguide(added_ids, replaced)
                     self._version += 1
                     entry = self._journal.record(
                         pre, pre + 1, UPSERT if replaced else INSERT, added)
@@ -145,6 +147,22 @@ class JSONDocumentStore:
         return True
 
     # ------------------------------------------------------------------
+    def _refresh_dataguide(self, doc_ids: list[str], replaced: bool) -> None:
+        """Keep the cached dataguide current after a write (lock held).
+
+        Appended documents extend a copy of the guide (snapshots share
+        the old one) with the leaves indexing already computed.  After
+        an upsert the guide is dropped; the next :meth:`dataguide` call
+        rebuilds it from the stored leaves.
+        """
+        if self._dataguide is None:
+            return
+        if replaced:
+            self._dataguide = None
+            return
+        self._dataguide = self._dataguide.extended(self._leaves[doc_id]
+                                                   for doc_id in doc_ids)
+
     def _prepare(self, document: dict[str, Any]) -> tuple[str, dict[str, Any]]:
         """Validate one incoming document; returns ``(doc_id, copy)``."""
         if not isinstance(document, dict):
@@ -216,7 +234,10 @@ class JSONDocumentStore:
                                    for path, index in self._indexes.items()}
                 frozen._ranks = dict(self._ranks)
                 frozen._next_rank = self._next_rank
-                frozen._dataguide = self._dataguide
+                # Built here if missing, so the live store holds a guide
+                # that later inserts extend instead of every snapshot
+                # rebuilding its own.
+                frozen._dataguide = self.dataguide()
                 frozen._version = self._version
                 # Shared journal: a frozen copy never writes, it only
                 # replays history up to its own (frozen) version.
@@ -351,15 +372,21 @@ class JSONDocumentStore:
         return self._ranks.get(doc_id, -1)
 
     def dataguide(self) -> "JSONDataguide":
-        """The (cached) structural summary of the collection."""
-        if self._dataguide is None:
+        """The (cached) structural summary of the collection.
+
+        Inserts keep it current incrementally; after an upsert or a
+        removal it is rebuilt here from the documents' stored leaves.
+        """
+        guide = self._dataguide
+        if guide is None:
             # Imported lazily: repro.digest builds digests *of* sources and
             # already depends on repro.core, which depends on this package.
             from repro.digest.dataguide import JSONDataguide
 
-            self._dataguide = JSONDataguide.build(self._documents.values(),
-                                                  name=self.name)
-        return self._dataguide
+            with self._rwlock.read_locked():
+                guide = JSONDataguide.from_leaves(self._leaves.values(), name=self.name)
+                self._dataguide = guide
+        return guide
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"JSONDocumentStore(name={self.name!r}, documents={len(self)}, "

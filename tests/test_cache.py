@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache import (
@@ -443,6 +446,29 @@ class TestPlanCache:
         assert all(step.atom in renamed.atoms for step in plan.steps)
         result = instance.executor().execute(renamed, plan=plan)
         assert {row["d"] for row in result.rows} == {"75", "62"}
+
+    def test_cached_plans_do_not_keep_pinned_snapshots_alive(self, instance):
+        cmq = sql_cmq(instance)
+        table = instance.source("sql://insee").database
+
+        def plan_pinned():
+            pinned = instance.pin()
+            plan = pinned.executor(instance).planner.plan(cmq)
+            assert all(source.pinned_at is not None
+                       for step in plan.steps for source in step.sources)
+            return weakref.ref(pinned.sources["sql://insee"]), plan.cached
+
+        old, cached = plan_pinned()
+        assert not cached
+        for dept in ("01", "02"):
+            table.execute("INSERT INTO unemployment (dept_code, rate) "
+                          f"VALUES ('{dept}', 5.0)")
+            _, cached = plan_pinned()
+            assert not cached
+        _, cached = plan_pinned()
+        assert cached  # served from the cache, rebound onto the new pin
+        gc.collect()
+        assert old() is None
 
     def test_different_options_plan_separately(self, instance):
         cmq = sql_cmq(instance)

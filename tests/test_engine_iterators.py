@@ -229,8 +229,7 @@ class TestBatchBindJoin:
 
         left = MaterializedScan([{"group": "left"}, {"group": "left"},
                                  {"group": "right"}, {"group": "left"}])
-        join = BatchBindJoin(left, fetch_batch,
-                             call_key=lambda r: (r["group"],), batch_size=1)
+        join = BatchBindJoin(left, fetch_batch, variables=["group"], batch_size=1)
         assert len(join.rows()) == 4
         assert sorted(shipped) == ["left", "right"]
         assert join.bindings_shipped == 2
@@ -240,9 +239,7 @@ class TestBatchBindJoin:
             return [[{"id": b["id"], "hit": True}] for b in bindings]
 
         join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch,
-                             call_key=lambda r: (r["id"],),
-                             binding_of=lambda r: {"id": r["id"]},
-                             sieve=lambda b: b["id"] == "p2", batch_size=10)
+                             variables=["id"], sieve=lambda b: b["id"] == "p2", batch_size=10)
         rows = join.rows()
         assert [r["id"] for r in rows] == ["p2"]
         assert join.sieved_out == 2

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import JSONQuery, JSONSource, MixedInstance, PlannerOptions
+from repro.digest.dataguide import JSONDataguide
 from repro.errors import JSONError, MixedQueryError, ParseError
 from repro.json import (
     JSONDocumentStore,
@@ -228,6 +231,38 @@ class TestStore:
         assert "user.screen_name" in store.dataguide().path_names()
         store.add({"id": 9, "brand_new": {"path": 1}})
         assert "brand_new.path" in store.dataguide().path_names()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["add", "add_all", "remove"]),
+        st.lists(st.tuples(
+            st.integers(0, 6),
+            st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                            st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=2),
+                                      st.lists(st.integers(0, 2), max_size=2),
+                                      st.dictionaries(st.sampled_from(["x", "y"]),
+                                                      st.booleans(), max_size=2)),
+                            max_size=3)),
+            min_size=1, max_size=4)),
+        max_size=12))
+    def test_incremental_dataguide_equals_rebuild(self, operations):
+        store = JSONDocumentStore()
+        store.dataguide()
+        for kind, documents in operations:
+            frozen = store.snapshot()  # shares the live store's guide
+            batch = [{"id": doc_id, **fields} for doc_id, fields in documents]
+            if kind == "add":
+                for document in batch:
+                    store.add(document)
+            elif kind == "add_all":
+                store.add_all(batch)
+            else:
+                store.remove(str(batch[0]["id"]))
+            for current in (store, frozen):
+                guide = current.dataguide()
+                rebuilt = JSONDataguide.build(current.documents())
+                assert guide.document_count == rebuilt.document_count == len(current)
+                assert guide.paths == rebuilt.paths
 
 
 class TestJSONSourceWrapper:
